@@ -137,12 +137,13 @@ func deviceNames(devs []*device.Device) string {
 }
 
 // CheckCurve validates a tradeoff curve: points sorted by increasing Perf,
-// finite QoS/Perf values, and configurations resolving to registered
-// knobs. In strict mode it additionally rejects strictly dominated points
-// — the invariant of install-time-refined curves PS(S*). Development-time
-// curves are checked relaxed: PSε deliberately retains predicted-dominated
-// points because a dominated prediction may win once measured on the
-// device (§2.2).
+// finite QoS/Perf values, a strictly positive Perf (a speedup of zero or
+// less is no speedup the runtime could pick), and configurations
+// resolving to registered knobs. In strict mode it additionally rejects
+// strictly dominated points — the invariant of install-time-refined
+// curves PS(S*). Development-time curves are checked relaxed: PSε
+// deliberately retains predicted-dominated points because a dominated
+// prediction may win once measured on the device (§2.2).
 func CheckCurve(c *pareto.Curve, strict bool) []error {
 	var errs []error
 	report := func(format string, args ...any) {
@@ -155,6 +156,8 @@ func CheckCurve(c *pareto.Curve, strict bool) []error {
 	for i, p := range c.Points {
 		if math.IsNaN(p.QoS) || math.IsInf(p.QoS, 0) || math.IsNaN(p.Perf) || math.IsInf(p.Perf, 0) {
 			report("point %d has non-finite QoS/Perf (%v, %v)", i, p.QoS, p.Perf)
+		} else if p.Perf <= 0 {
+			report("point %d has non-positive Perf %v", i, p.Perf)
 		}
 		if i > 0 && p.Perf < c.Points[i-1].Perf {
 			report("points not sorted by Perf at index %d (%v after %v)", i, p.Perf, c.Points[i-1].Perf)

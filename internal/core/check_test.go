@@ -104,6 +104,13 @@ func TestCheckCurve(t *testing.T) {
 			t.Fatalf("unsorted curve not rejected: %v", errs)
 		}
 	})
+	t.Run("non-positive perf", func(t *testing.T) {
+		c := &pareto.Curve{Program: "p", Points: []pareto.Point{mk(80, -3), mk(90, 0), mk(85, 1.5)}}
+		errs := CheckCurve(c, false)
+		if len(errs) != 2 || !errsContain(errs, "non-positive Perf") {
+			t.Fatalf("Perf -3 and 0 not both rejected: %v", errs)
+		}
+	})
 	t.Run("unknown knob", func(t *testing.T) {
 		c := &pareto.Curve{Program: "p", Points: []pareto.Point{
 			{QoS: 90, Perf: 1, Config: approx.Config{0: approx.KnobID(999)}},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -75,7 +76,7 @@ type RuntimeTuner struct {
 	curve      *pareto.Curve
 	policy     Policy
 	targetTime float64 // desired per-invocation time (seconds)
-	window     int     // sliding window length (invocations)
+	window     int     // tumbling window length (invocations)
 	rng        *tensor.RNG
 
 	mu      sync.Mutex
@@ -105,7 +106,7 @@ type RuntimeTuner struct {
 
 // NewRuntimeTuner builds a runtime controller. targetTime is the
 // per-invocation time to maintain (typically the baseline configuration's
-// time at the highest frequency); window is the sliding-window size in
+// time at the highest frequency); window is the tumbling-window size in
 // invocations (§6.4 uses one batch).
 func NewRuntimeTuner(curve *pareto.Curve, policy Policy, targetTime float64, window int, seed int64) (*RuntimeTuner, error) {
 	if curve == nil || curve.Len() == 0 {
@@ -305,10 +306,14 @@ func (rt *RuntimeTuner) switchTo(next pareto.Point) {
 // index, which is meaningless across curves), the control window is
 // cleared, the latched recalibration signal is released, and selection
 // restarts from the last required speedup on the new curve. Lifetime
-// counters (invocations, switches, drift alarms) are preserved.
+// counters (invocations, switches, drift alarms) are preserved. A curve
+// that fails CheckCurve is rejected and the current one stays.
 func (rt *RuntimeTuner) SwapCurve(curve *pareto.Curve) error {
 	if curve == nil || curve.Len() == 0 {
 		return fmt.Errorf("core: curve swap needs a non-empty tradeoff curve")
+	}
+	if errs := CheckCurve(curve, false); len(errs) > 0 {
+		return fmt.Errorf("core: curve swap rejected: %w", errors.Join(errs...))
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

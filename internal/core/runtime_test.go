@@ -284,3 +284,29 @@ func TestSwapCurveResetsHealth(t *testing.T) {
 		t.Error("empty curve swap must error")
 	}
 }
+
+// TestSwapCurveRejectsInvalidCurve: SwapCurve runs CheckCurve, so no
+// caller can install a curve claiming a zero or negative speedup; the
+// rejected swap leaves the current curve and point in place.
+func TestSwapCurveRejectsInvalidCurve(t *testing.T) {
+	rt, err := NewRuntimeTuner(runtimeTestCurve(), PolicyEnforce, 0.1, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	before := rt.CurrentPoint()
+	for _, perf := range []float64{0, -3} {
+		bad := &pareto.Curve{Program: "probe", BaselineQoS: 90, Points: []pareto.Point{
+			{QoS: 80, Perf: perf}, {QoS: 90, Perf: 1},
+		}}
+		if err := rt.SwapCurve(bad); err == nil {
+			t.Errorf("curve with Perf %v swapped in", perf)
+		}
+	}
+	if rt.CurveSwaps() != 0 {
+		t.Errorf("curve swaps = %d, want 0", rt.CurveSwaps())
+	}
+	if got := rt.CurrentPoint(); !sameConfig(got.Config, before.Config) {
+		t.Errorf("current point moved to Perf %v after rejected swaps", got.Perf)
+	}
+}

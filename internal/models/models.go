@@ -499,7 +499,7 @@ func Prune(m *Model, fraction float64) float64 {
 		}
 		thr := quickselect(mags, k)
 		for i, v := range d {
-			if math.Abs(float64(v)) <= thr && zeroedCount(d, i) {
+			if math.Abs(float64(v)) <= thr {
 				d[i] = 0
 				zeroed++
 			}
@@ -512,10 +512,6 @@ func Prune(m *Model, fraction float64) float64 {
 	}
 	return float64(zeroed) / float64(total)
 }
-
-// zeroedCount is a helper that always returns true; it exists to keep the
-// pruning loop readable while counting in one place.
-func zeroedCount([]float32, int) bool { return true }
 
 // quickselect returns the k-th smallest value (0-based k-1 semantics: the
 // largest of the k smallest).

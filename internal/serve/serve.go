@@ -22,6 +22,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -630,6 +631,10 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	curve, err := pareto.UnmarshalCurve(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad curve: %v", err))
+		return
+	}
+	if errs := core.CheckCurve(curve, false); len(errs) > 0 {
+		httpError(w, http.StatusUnprocessableEntity, errors.Join(errs...).Error())
 		return
 	}
 	for i, pt := range curve.Points {

@@ -428,6 +428,33 @@ func TestServeSLOControlLoopRecovery(t *testing.T) {
 	}
 }
 
+// TestServeCurveRejectsNonPositivePerf: POST /v1/curve validates the
+// curve like an artifact load does. A curve whose points claim a speedup
+// of 0 and -3 gets 422, and the serving curve stays in place.
+func TestServeCurveRejectsNonPositivePerf(t *testing.T) {
+	gr := testNet(1)
+	s, err := New(testConfig(gr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	probe := []byte(`{"program":"probe","baseline_qos":90,"points":[` +
+		`{"qos":90,"perf":0,"config":null},{"qos":80,"perf":-3,"config":null}]}`)
+	code, body := postJSON(t, ts.URL+"/v1/curve", probe)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("probe curve: HTTP %d (%s), want 422", code, body)
+	}
+	if !bytes.Contains(body, []byte("non-positive Perf")) {
+		t.Errorf("422 body %q does not name the bad Perf", body)
+	}
+	if n := s.Tuner().CurveSwaps(); n != 0 {
+		t.Errorf("curve swaps = %d after a rejected curve, want 0", n)
+	}
+}
+
 func getJSON(t *testing.T, url string) (int, []byte) {
 	t.Helper()
 	client := &http.Client{Timeout: 10 * time.Second}

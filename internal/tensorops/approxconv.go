@@ -35,9 +35,10 @@ func Conv2DFilterSampling(x, w *tensor.Tensor, p ConvParams, stride, offset int,
 }
 
 // Conv2DFilterSamplingFused is Conv2DFilterSampling with a fused
-// bias/activation epilogue. For weights marked cacheable the sampled
-// filter itself is memoized in the pack cache (the zero-and-rescale pass
-// used to run on every call), and the cached copy is marked cacheable in
+// bias/activation epilogue. The GEMM runs on the reduced K: the filter is
+// compacted to its kept elements (see SampleFilter) and im2col emits only
+// the matching rows. For weights marked cacheable the compacted filter is
+// memoized in the pack cache, and the cached copy is marked cacheable in
 // turn so its FP16 quantization memoizes as well.
 func Conv2DFilterSamplingFused(x, w *tensor.Tensor, p ConvParams, stride, offset int, prec Precision, ep Epilogue) *tensor.Tensor {
 	if stride < 2 || stride > 4 {
@@ -46,31 +47,26 @@ func Conv2DFilterSamplingFused(x, w *tensor.Tensor, p ConvParams, stride, offset
 	if offset < 0 || offset >= stride {
 		panicShape("FilterSampling", "offset %d not in [0,%d)", offset, stride)
 	}
-	sw := defaultPackCache.cachedSampledFilter(w, stride, offset)
-	if sw == nil {
-		sw = SampleFilter(w, stride, offset)
-	}
-	return convolve(x, sw, p, prec, nil, ep)
+	return convolve(x, w, p, prec, convSkip{sampStride: stride, sampOffset: offset}, ep)
 }
 
-// SampleFilter returns a copy of w with every stride-th element (per output
-// filter, flattened over Ci×Kh×Kw, starting at offset) zeroed and the rest
-// rescaled by stride/(stride-1). Zeroed weights are skipped by the GEMM
-// inner loop, so the functional kernel genuinely performs fewer multiplies.
+// SampleFilter returns the sampled filter in the compact form the GEMM
+// multiplies: per output filter (flattened over Ci×Kh×Kw), every
+// stride-th element starting at offset is dropped and the survivors are
+// rescaled by stride/(stride-1). The result is (Co × kept): the dropped
+// elements are not stored, so the convolution never multiplies them. At
+// least one element per filter must survive.
 func SampleFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
-	out := w.Clone()
 	co := w.Dim(0)
 	fvol := w.Elems() / co
+	ks := keptIndices(fvol, stride, offset)
+	out := tensor.New(co, len(ks))
 	scale := float32(stride) / float32(stride-1)
-	od := out.Data()
+	wd, od := w.Data(), out.Data()
 	for f := 0; f < co; f++ {
-		base := f * fvol
-		for i := 0; i < fvol; i++ {
-			if i%stride == offset {
-				od[base+i] = 0
-			} else {
-				od[base+i] *= scale
-			}
+		src, dst := wd[f*fvol:(f+1)*fvol], od[f*len(ks):(f+1)*len(ks)]
+		for j, i := range ks {
+			dst[j] = src[i] * scale
 		}
 	}
 	return out
@@ -82,6 +78,15 @@ func SampleFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
 // nearest-neighbor average of computed elements. Valid strides are 2, 3, 4
 // with offsets 0..stride-1 and two directions, giving the paper's 18 knobs.
 func Conv2DPerforated(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stride, offset int, prec Precision) *tensor.Tensor {
+	return Conv2DPerforatedFused(x, w, p, dir, stride, offset, prec, Epilogue{})
+}
+
+// Conv2DPerforatedFused is Conv2DPerforated with the bias/activation/FP16
+// epilogue fused into the pass that interpolates each output plane. Only
+// the kept rows or columns are computed: im2col and the GEMM run over the
+// kept positions alone. Bit-identical to the full convolution followed by
+// interpolation, FP16 writeback and ApplyEpilogue.
+func Conv2DPerforatedFused(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stride, offset int, prec Precision, ep Epilogue) *tensor.Tensor {
 	if dir != PerfRows && dir != PerfCols {
 		panicShape("Perforated", "direction must be rows or cols")
 	}
@@ -91,5 +96,5 @@ func Conv2DPerforated(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stri
 	if offset < 0 || offset >= stride {
 		panicShape("Perforated", "offset %d not in [0,%d)", offset, stride)
 	}
-	return convolve(x, w, p, prec, &perfSpec{dir: dir, stride: stride, offset: offset}, Epilogue{})
+	return convolve(x, w, p, prec, convSkip{perfDir: dir, perfStride: stride, perfOffset: offset}, ep)
 }

@@ -72,15 +72,32 @@ func BenchmarkConv2DFilterSampling50(b *testing.B) {
 	}
 }
 
-func BenchmarkConv2DPerforated50(b *testing.B) {
+func BenchmarkConv2DFilterSampling50FP16(b *testing.B) {
 	x, w := benchInput(8, 32, 32)
 	p := ConvParams{PadH: 1, PadW: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Conv2DPerforated(x, w, p, PerfRows, 2, 0, FP32)
+		Conv2DFilterSampling(x, w, p, 2, 0, FP16)
 	}
 }
+
+// benchPerforated times one perforated convolution: only the kept half of
+// the output rows or columns is computed.
+func benchPerforated(b *testing.B, dir PerfDirection, prec Precision) {
+	x, w := benchInput(8, 32, 32)
+	p := ConvParams{PadH: 1, PadW: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Conv2DPerforated(x, w, p, dir, 2, 0, prec)
+	}
+}
+
+func BenchmarkConv2DPerforated50(b *testing.B)         { benchPerforated(b, PerfRows, FP32) }
+func BenchmarkConv2DPerforatedCols50(b *testing.B)     { benchPerforated(b, PerfCols, FP32) }
+func BenchmarkConv2DPerforated50FP16(b *testing.B)     { benchPerforated(b, PerfRows, FP16) }
+func BenchmarkConv2DPerforatedCols50FP16(b *testing.B) { benchPerforated(b, PerfCols, FP16) }
 
 func benchGemmOperands(m, k, n int) (a, bb, c []float32) {
 	g := tensor.NewRNG(2)

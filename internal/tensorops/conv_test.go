@@ -116,9 +116,12 @@ func TestConv2DFP16IsQuantized(t *testing.T) {
 }
 
 func TestFilterSamplingDropsAndRescales(t *testing.T) {
-	w := tensor.FromSlice([]float32{1, 1, 1, 1, 1, 1, 1, 1}, 2, 1, 2, 2)
+	w := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8}, 2, 1, 2, 2)
 	s := SampleFilter(w, 2, 0) // drop even positions, scale odd by 2
-	want := []float32{0, 2, 0, 2, 0, 2, 0, 2}
+	want := []float32{4, 8, 12, 16}
+	if !s.Shape().Equal(tensor.NewShape(2, 2)) {
+		t.Fatalf("SampleFilter shape %v, want [2 2] (Co × kept)", s.Shape())
+	}
 	for i, v := range s.Data() {
 		if v != want[i] {
 			t.Fatalf("SampleFilter elem %d = %v, want %v", i, v, want[i])
@@ -317,5 +320,219 @@ func TestMatMul(t *testing.T) {
 		if v != want[i] {
 			t.Fatalf("MatMul elem %d = %v, want %v", i, v, want[i])
 		}
+	}
+}
+
+// refInterpolate is the compute-then-interpolate reference for
+// perforation: every skipped row (or column) of the full output becomes
+// the average of the nearest computed rows above and below (columns left
+// and right), a copy of the one that exists, or zero.
+func refInterpolate(out *tensor.Tensor, dir PerfDirection, stride, offset int) {
+	n, co, ho, wo := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3)
+	skip := func(i int) bool { return i%stride == offset }
+	nearest := func(i, step, limit int) int {
+		for j := i + step; j >= 0 && j < limit; j += step {
+			if !skip(j) {
+				return j
+			}
+		}
+		return -1
+	}
+	at := func(img, ch, y, x int) float32 { return out.At(img, ch, y, x) }
+	for img := 0; img < n; img++ {
+		for ch := 0; ch < co; ch++ {
+			for y := 0; y < ho; y++ {
+				for x := 0; x < wo; x++ {
+					i, limit := y, ho
+					if dir == PerfCols {
+						i, limit = x, wo
+					}
+					if !skip(i) {
+						continue
+					}
+					a, b := nearest(i, -1, limit), nearest(i, 1, limit)
+					get := func(j int) float32 {
+						if dir == PerfCols {
+							return at(img, ch, y, j)
+						}
+						return at(img, ch, j, x)
+					}
+					var v float32
+					switch {
+					case a >= 0 && b >= 0:
+						v = 0.5 * (get(a) + get(b))
+					case a >= 0:
+						v = get(a)
+					case b >= 0:
+						v = get(b)
+					}
+					out.Set(v, img, ch, y, x)
+				}
+			}
+		}
+	}
+}
+
+// refPerforated is the old perforation path, spelled out: the full raw
+// convolution (over FP16-quantized operands for FP16), interpolation of
+// the skipped lines, the FP16 writeback, then ApplyEpilogue.
+func refPerforated(x, w *tensor.Tensor, p ConvParams, dir PerfDirection, stride, offset int, prec Precision, ep Epilogue) *tensor.Tensor {
+	if prec == FP16 {
+		x, w = x.CloneFP16(), w.CloneFP16()
+	}
+	out := Conv2D(x, w, p, FP32)
+	refInterpolate(out, dir, stride, offset)
+	if prec == FP16 {
+		out.ToFP16()
+	}
+	return ApplyEpilogue(out, ep, prec)
+}
+
+// zeroedSampleFilter is the dense form of filter sampling the kernel once
+// multiplied: the dropped elements zeroed in place, the rest rescaled.
+func zeroedSampleFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
+	out := w.Clone()
+	fvol := w.Elems() / w.Dim(0)
+	scale := float32(stride) / float32(stride-1)
+	od := out.Data()
+	for i := range od {
+		if i%fvol%stride == offset {
+			od[i] = 0
+		} else {
+			od[i] *= scale
+		}
+	}
+	return out
+}
+
+// approxGridCase is one point of the differential grid the approximate
+// kernels are checked over.
+type approxGridCase struct {
+	name   string
+	x, w   *tensor.Tensor
+	p      ConvParams
+	prec   Precision
+	ep     Epilogue
+	cached bool
+}
+
+// approxGrid enumerates input shapes (one whose perforated rows leave a
+// single output line) × stride 1/2 × padding 0/1 × dense/depthwise
+// groups × FP32/FP16 × uncached/cache-marked operands × three epilogues.
+// Dense convolutions have 6 output channels, so the GEMM runs a 4-row
+// micro-tile block plus edge rows, and output widths leave tail columns.
+func approxGrid() []approxGridCase {
+	g := tensor.NewRNG(31)
+	var cases []approxGridCase
+	for _, xdims := range [][]int{{2, 4, 9, 7}, {1, 4, 3, 6}} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				for _, depthwise := range []bool{false, true} {
+					co, cig, groups := 6, xdims[1], 1
+					if depthwise {
+						co, cig, groups = xdims[1], 1, xdims[1]
+					}
+					p := ConvParams{StrideH: stride, StrideW: stride, PadH: pad, PadW: pad, Groups: groups}
+					x := randTensor(g, xdims...)
+					w := randTensor(g, co, cig, 3, 3)
+					eps := []struct {
+						name string
+						ep   Epilogue
+					}{
+						{"none", Epilogue{}},
+						{"bias+relu", Epilogue{Bias: randTensor(g, co), Act: ActReLU}},
+						{"tanh", Epilogue{Act: ActTanh}},
+					}
+					for _, prec := range []Precision{FP32, FP16} {
+						for _, cached := range []bool{false, true} {
+							for _, e := range eps {
+								cx, cw := x, w
+								if cached {
+									cx, cw = x.Clone().MarkCacheable(), w.Clone().MarkCacheable()
+								}
+								cases = append(cases, approxGridCase{
+									name: sprintf("x=%v s=%d pad=%d dw=%v %v cached=%v ep=%s",
+										xdims, stride, pad, depthwise, prec, cached, e.name),
+									x: cx, w: cw, p: p, prec: prec, ep: e.ep, cached: cached,
+								})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return cases
+}
+
+func requireBitEqual(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.Shape().Equal(want.Shape()) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape(), want.Shape())
+	}
+	gd, wd := got.Data(), want.Data()
+	for i := range wd {
+		if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+			t.Fatalf("%s: out[%d] = %v, want %v", what, i, gd[i], wd[i])
+		}
+	}
+}
+
+// TestPerforatedMatchesComputeThenInterpolate: the perforated kernel
+// computes only the kept rows or columns and fuses its epilogue, yet must
+// equal the full convolution followed by interpolation and ApplyEpilogue
+// bit for bit, over all 18 perforation knobs and the whole grid. Cached
+// cases run twice, so the second call reads the memoized columns.
+func TestPerforatedMatchesComputeThenInterpolate(t *testing.T) {
+	for _, c := range approxGrid() {
+		for _, dir := range []PerfDirection{PerfRows, PerfCols} {
+			for stride := 2; stride <= 4; stride++ {
+				for off := 0; off < stride; off++ {
+					want := refPerforated(c.x, c.w, c.p, dir, stride, off, c.prec, c.ep)
+					what := sprintf("%s perf=%v/%d/%d", c.name, dir, stride, off)
+					requireBitEqual(t, what, Conv2DPerforatedFused(c.x, c.w, c.p, dir, stride, off, c.prec, c.ep), want)
+					if c.cached {
+						requireBitEqual(t, what+" (warm)", Conv2DPerforatedFused(c.x, c.w, c.p, dir, stride, off, c.prec, c.ep), want)
+					}
+					if c.ep.empty() {
+						requireBitEqual(t, what+" (unfused)", Conv2DPerforated(c.x, c.w, c.p, dir, stride, off, c.prec), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFilterSamplingReducedKMatchesZeroedFilter: filter sampling runs the
+// GEMM on the reduced K, yet must equal the convolution with the dense
+// zeroed-and-rescaled filter bit for bit, over all 9 sampling knobs and
+// the whole grid.
+func TestFilterSamplingReducedKMatchesZeroedFilter(t *testing.T) {
+	for _, c := range approxGrid() {
+		for stride := 2; stride <= 4; stride++ {
+			for off := 0; off < stride; off++ {
+				want := Conv2DFused(c.x, zeroedSampleFilter(c.w, stride, off), c.p, c.prec, c.ep)
+				what := sprintf("%s samp=%d/%d", c.name, stride, off)
+				requireBitEqual(t, what, Conv2DFilterSamplingFused(c.x, c.w, c.p, stride, off, c.prec, c.ep), want)
+				if c.cached {
+					requireBitEqual(t, what+" (warm)", Conv2DFilterSamplingFused(c.x, c.w, c.p, stride, off, c.prec, c.ep), want)
+				}
+			}
+		}
+	}
+}
+
+// TestFilterSamplingEmptyFilter: a 1×1 single-channel filter sampled at
+// stride 2, offset 0 keeps no element, so the output is the epilogue of
+// zero — as with the dense zeroed filter.
+func TestFilterSamplingEmptyFilter(t *testing.T) {
+	g := tensor.NewRNG(32)
+	x := randTensor(g, 1, 4, 5, 5)
+	w := randTensor(g, 4, 1, 1, 1)
+	p := ConvParams{Groups: 4}
+	ep := Epilogue{Bias: randTensor(g, 4), Act: ActTanh}
+	for _, prec := range []Precision{FP32, FP16} {
+		want := Conv2DFused(x, zeroedSampleFilter(w, 2, 0), p, prec, ep)
+		requireBitEqual(t, prec.String(), Conv2DFilterSamplingFused(x, w, p, 2, 0, prec, ep), want)
 	}
 }

@@ -104,12 +104,11 @@ func (e *rowEpi) apply(crow []float32, row int) {
 
 // ApplyEpilogue applies bias + activation (+ FP16 re-quantization after
 // each step) to out in place, in a single pass without clones. It serves
-// the kernel variants whose epilogue cannot fuse into the GEMM writeback
-// (perforated convolution interpolates the raw output first; PROMISE
-// perturbs it) and is element-for-element identical to the unfused
-// BiasAdd → ToFP16 → Act → ToFP16 chain it replaces. out must already
-// carry the kernel's own writeback quantization (convolve's FP16 paths
-// guarantee this).
+// the kernel variants whose epilogue cannot fuse into the kernel (PROMISE
+// perturbs the raw output first; int8 has no fused entry point) and is
+// element-for-element identical to the unfused BiasAdd → ToFP16 → Act →
+// ToFP16 chain it replaces. out must already carry the kernel's own
+// writeback quantization.
 func ApplyEpilogue(out *tensor.Tensor, ep Epilogue, prec Precision) *tensor.Tensor {
 	if ep.empty() {
 		return out

@@ -56,15 +56,15 @@ const (
 	// packQuant: the source tensor's data quantized through FP16
 	// ([]float32 of the same length).
 	packQuant packKind = iota
-	// packSampled: a filter-sampled copy of a conv weight
-	// (*tensor.Tensor), keyed by (stride, offset).
+	// packSampled: the compacted filter-sampled copy of a conv weight
+	// (*tensor.Tensor, see SampleFilter), keyed by (stride, offset).
 	packSampled
 	// packPanels: a prepacked B operand (panels + tail) for the blocked
 	// GEMM, keyed by (k, n) and precision.
 	packPanels
 	// packCols: the packed (and, for FP16, quantized) im2col column
-	// matrix of one (image, group) of a convolution, keyed by the conv
-	// geometry.
+	// matrix of one (image, group) of an exact convolution, keyed by the
+	// conv geometry.
 	packCols
 )
 
@@ -279,10 +279,10 @@ func cachedQuantized(t *tensor.Tensor) ([]float32, bool) {
 	return defaultPackCache.cachedQuantized(t)
 }
 
-// cachedSampledFilter returns the filter-sampled copy of w, memoized when
-// w is cacheable. The cached tensor is itself marked cacheable so the
-// FP16 quantization of a sampled filter memoizes too. Returns nil when w
-// has no cache identity.
+// cachedSampledFilter returns the compacted filter-sampled copy of w
+// (SampleFilter), memoized when w is cacheable. The cached tensor is
+// itself marked cacheable so the FP16 quantization of a sampled filter
+// memoizes too. Returns nil when w has no cache identity.
 func (c *PackCache) cachedSampledFilter(w *tensor.Tensor, stride, offset int) *tensor.Tensor {
 	id, gen, ok := w.CacheKey()
 	if !ok {
@@ -336,6 +336,15 @@ func buildPrepacked(b []float32, k, n int, quantB bool) *prepacked {
 
 func (p *prepacked) bytes() int64 { return int64(4 * (len(p.panels) + len(p.tail))) }
 
+// column locates column j of a prepacked (k × n) operand: B[l][j] is
+// data[base+l*stride].
+func (p *prepacked) column(j, k int) (data []float32, base, stride int) {
+	if j < p.np*gemmNR {
+		return p.panels, (j/gemmNR)*k*gemmNR + j%gemmNR, gemmNR
+	}
+	return p.tail, (j - p.np*gemmNR) * k, 1
+}
+
 // cachedPrepackedB returns w's data (k×n) prepacked for the blocked
 // GEMM under the given precision, memoized when w is cacheable. Returns
 // nil when w has no identity or the shape has no full panel (np == 0) —
@@ -356,17 +365,6 @@ func (c *PackCache) cachedPrepackedB(w *tensor.Tensor, k, n int, prec Precision)
 	return v.(*prepacked)
 }
 
-// colsGeo is the geometry a packed-cols entry is keyed by, beyond the
-// input tensor's identity (which already fixes N, Ci, H, W).
-type colsGeo struct {
-	img, grp int
-	ci, cig  int
-	h, w     int
-	kh, kw   int
-	ho, wo   int
-	p        ConvParams
-}
-
 // colsBudgetOK reports whether one convolution's whole column working set
 // (n images × g groups × colElems floats) fits comfortably in the cache.
 // Sequential sweeps over a working set larger than an LRU cache are the
@@ -378,30 +376,30 @@ func (c *PackCache) colsBudgetOK(n, g, colElems int) bool {
 }
 
 // cachedConvCols returns the packed im2col operand of one (image, group)
-// of a convolution, memoized when x is cacheable. xd is x's data in the
-// precision the GEMM will consume — raw for FP32, quantized through FP16
-// for FP16 (the packed values must match the uncached path, which runs
-// im2col over exactly that slice). Returns nil when x has no identity;
-// callers also gate on the blocked-path geometry (enough output rows and
-// columns) and the working-set budget before asking.
-func (c *PackCache) cachedConvCols(x *tensor.Tensor, xd []float32, geo colsGeo, prec Precision) *prepacked {
+// of the exact convolution planned by pl, memoized when x is cacheable.
+// xd is x's data in the precision the GEMM will consume — raw for FP32,
+// quantized through FP16 for FP16 (the packed values must match the
+// uncached path, which runs im2col over exactly that slice). Returns nil
+// when x has no identity; callers also gate on the plan keeping every
+// position and filter element, the blocked-path geometry (enough output
+// rows and columns) and the working-set budget before asking.
+func (c *PackCache) cachedConvCols(x *tensor.Tensor, xd []float32, img, grp int, pl *convPlan, prec Precision) *prepacked {
 	id, gen, ok := x.CacheKey()
 	if !ok {
 		return nil
 	}
 	key := packKey{
 		id: id, gen: gen, kind: packCols, prec: prec,
-		g0: geo.img*geo.p.Groups + geo.grp,
-		g1: geo.kh, g2: geo.kw,
-		g3: geo.p.StrideH, g4: geo.p.StrideW,
-		g5: geo.p.PadH, g6: geo.p.PadW,
-		g7: geo.p.Groups,
+		g0: img*pl.p.Groups + grp,
+		g1: pl.kh, g2: pl.kw,
+		g3: pl.p.StrideH, g4: pl.p.StrideW,
+		g5: pl.p.PadH, g6: pl.p.PadW,
+		g7: pl.p.Groups,
 	}
 	v := c.getOrCompute(key, func() (any, int64) {
-		kvol := geo.cig * geo.kh * geo.kw
-		how := geo.ho * geo.wo
+		kvol, how := len(pl.ks), pl.npos()
 		cols := tensor.Scratch(kvol * how)
-		im2col(xd, cols, geo.img, geo.grp, geo.ci, geo.cig, geo.h, geo.w, geo.kh, geo.kw, geo.ho, geo.wo, geo.p)
+		im2col(xd, cols, img, grp, pl)
 		// The stored panels come from plain make (inside buildPrepacked),
 		// never from the pool: a pooled payload could be re-issued by
 		// Scratch while an evicted entry's borrower still reads it.
