@@ -1,12 +1,12 @@
 # Tier-1 verification gate: everything `make ci` runs must stay green.
 # CI = formatting check + vet + project lint (source + IR) + build +
-# race-enabled tests.
+# arm64 cross-build + race-enabled tests.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet lint lint-registry build test race chaos bench bench-smoke bench-diff serve-smoke trace-smoke trace
+.PHONY: ci fmt-check vet lint lint-registry build cross-build test race chaos bench bench-smoke bench-diff serve-smoke trace-smoke trace
 
-ci: fmt-check vet lint lint-registry build bench-diff serve-smoke trace-smoke race
+ci: fmt-check vet lint lint-registry build cross-build bench-diff serve-smoke trace-smoke race
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -39,6 +39,14 @@ lint-registry:
 
 build:
 	$(GO) build ./...
+
+# The AVX2 kernels are amd64 assembly with Go fallbacks behind !amd64
+# build tags. Cross-building for arm64 (offline: no cgo, stdlib only)
+# keeps those fallbacks compiling, and vetting the two kernel packages
+# for arm64 checks that their tests use no amd64-only symbol.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/tensorops
 
 test:
 	$(GO) test ./...

@@ -38,6 +38,18 @@ func (c Config) Clone() Config {
 	return out
 }
 
+// Ops returns the ops the configuration assigns, in ascending order: the
+// order every float sum over a configuration uses, so that the sum does
+// not depend on map iteration order.
+func (c Config) Ops() []int {
+	ops := make([]int, 0, len(c))
+	for op := range c {
+		ops = append(ops, op)
+	}
+	sort.Ints(ops)
+	return ops
+}
+
 // Equal reports whether two configurations assign the same knob to every
 // op of programs with n operations.
 func (c Config) Equal(o Config, n int) bool {

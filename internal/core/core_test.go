@@ -601,3 +601,38 @@ func TestEmpiricalTuneWorkerInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictiveTuneDeterministic pins that development-time tuning is a
+// function of its inputs: repeated runs on identical inputs ship
+// bit-identical curves, for both predictors. Sums over a configuration
+// (a map) once ran in random order, so the predicted QoS — and with it
+// the shortlist and the shipped curve — varied between identical runs.
+func TestPredictiveTuneDeterministic(t *testing.T) {
+	gp, b := buildTestProgram(t)
+	qosMin := b.BaselineAcc - 3
+	for _, model := range []predictor.Model{predictor.Pi1, predictor.Pi2} {
+		var first *pareto.Curve
+		for run := 0; run < 3; run++ {
+			res, err := PredictiveTune(gp, fastOpts(qosMin, model))
+			if err != nil {
+				t.Fatalf("%v run %d: %v", model, run, err)
+			}
+			if first == nil {
+				first = res.Curve
+				continue
+			}
+			got, want := res.Curve.Points, first.Points
+			if len(got) != len(want) {
+				t.Fatalf("%v run %d: %d points, first run %d", model, run, len(got), len(want))
+			}
+			nOps := maxOp(gp) + 1
+			for i := range got {
+				if math.Float64bits(got[i].QoS) != math.Float64bits(want[i].QoS) ||
+					math.Float64bits(got[i].Perf) != math.Float64bits(want[i].Perf) ||
+					got[i].Config.Key(nOps) != want[i].Config.Key(nOps) {
+					t.Fatalf("%v run %d: point %d = %+v, first run %+v", model, run, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

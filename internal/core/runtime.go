@@ -107,13 +107,17 @@ type RuntimeTuner struct {
 // NewRuntimeTuner builds a runtime controller. targetTime is the
 // per-invocation time to maintain (typically the baseline configuration's
 // time at the highest frequency); window is the tumbling-window size in
-// invocations (§6.4 uses one batch).
+// invocations (§6.4 uses one batch). A curve that fails CheckCurve is
+// rejected, as SwapCurve rejects it.
 func NewRuntimeTuner(curve *pareto.Curve, policy Policy, targetTime float64, window int, seed int64) (*RuntimeTuner, error) {
 	if curve == nil || curve.Len() == 0 {
 		return nil, fmt.Errorf("core: runtime tuner needs a non-empty tradeoff curve")
 	}
 	if targetTime <= 0 || window <= 0 {
 		return nil, fmt.Errorf("core: bad runtime target %v / window %d", targetTime, window)
+	}
+	if errs := CheckCurve(curve, false); len(errs) > 0 {
+		return nil, fmt.Errorf("core: runtime tuner rejected curve: %w", errors.Join(errs...))
 	}
 	rt := &RuntimeTuner{
 		curve:        curve,
@@ -347,15 +351,17 @@ func sameConfig(a, b approx.Config) bool {
 }
 
 // pick selects a tradeoff point achieving the required speedup under the
-// active policy.
+// active policy. Among points of equal Perf it takes the highest QoS.
 func (rt *RuntimeTuner) pick(required float64) pareto.Point {
 	switch rt.policy {
 	case PolicyEnforce:
 		if pt, ok := rt.curve.AtLeastPerf(required); ok {
 			return pt
 		}
-		// Nothing reaches the target; degrade as gracefully as possible.
-		return rt.curve.Points[rt.curve.Len()-1]
+		// Nothing reaches the target; degrade as gracefully as possible:
+		// above the curve's range Bracket returns its fastest point.
+		_, fastest, _ := rt.curve.Bracket(required)
+		return fastest
 	default: // PolicyAverage
 		below, above, _ := rt.curve.Bracket(required)
 		//lint:ignore floateq bracket endpoints coincide only when they are the same stored curve entry

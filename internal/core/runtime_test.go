@@ -310,3 +310,64 @@ func TestSwapCurveRejectsInvalidCurve(t *testing.T) {
 		t.Errorf("current point moved to Perf %v after rejected swaps", got.Perf)
 	}
 }
+
+// TestNewRuntimeTunerRejectsInvalidCurve: the tuner runs CheckCurve at
+// construction, as SwapCurve does, so a server cannot boot on a curve
+// claiming a zero or negative speedup (the probe curve posted to
+// /v1/curve) or on one not sorted by Perf.
+func TestNewRuntimeTunerRejectsInvalidCurve(t *testing.T) {
+	for name, pts := range map[string][]pareto.Point{
+		"probe":    {{QoS: 90, Perf: 0}, {QoS: 80, Perf: -3}},
+		"unsorted": {{QoS: 88, Perf: 1.5}, {QoS: 90, Perf: 1}},
+	} {
+		c := &pareto.Curve{Program: name, BaselineQoS: 90, Points: pts}
+		if rt, err := NewRuntimeTuner(c, PolicyEnforce, 0.1, 2, 1); err == nil {
+			rt.Close()
+			t.Errorf("%s curve accepted", name)
+		}
+	}
+}
+
+// TestRuntimeTunerBreaksPerfTiesByQoS: among points of equal Perf the
+// tuner takes the highest QoS, whichever order the curve lists them in:
+// in the Enforce policy's AtLeastPerf and degrade branches and at both
+// of the Average policy's bracket endpoints.
+func TestRuntimeTunerBreaksPerfTiesByQoS(t *testing.T) {
+	exact := pareto.Point{QoS: 90, Perf: 1, Config: approx.Config{}}
+	midLow := pareto.Point{QoS: 86, Perf: 1.5, Config: approx.Config{0: 1}}
+	midHigh := pareto.Point{QoS: 88, Perf: 1.5, Config: approx.Config{0: 10}}
+	topLow := pareto.Point{QoS: 80, Perf: 2, Config: approx.Config{1: 1}}
+	topHigh := pareto.Point{QoS: 84, Perf: 2, Config: approx.Config{1: 10}}
+	for _, order := range [][]pareto.Point{
+		{exact, midLow, midHigh, topLow, topHigh},
+		{exact, midHigh, midLow, topHigh, topLow},
+	} {
+		c := &pareto.Curve{Program: "ties", BaselineQoS: 90, Points: order}
+		enforce, err := NewRuntimeTuner(c, PolicyEnforce, 0.1, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			required float64
+			want     pareto.Point
+		}{{1.2, midHigh}, {1.5, midHigh}, {1.8, topHigh}, {3, topHigh}} {
+			if got := enforce.pick(tc.required); !sameConfig(got.Config, tc.want.Config) {
+				t.Errorf("enforce pick(%v) = QoS %v, want QoS %v", tc.required, got.QoS, tc.want.QoS)
+			}
+		}
+		enforce.Close()
+
+		average, err := NewRuntimeTuner(c, PolicyAverage, 0.1, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		below, above, _, _ := average.MixProbabilities(1.8)
+		if !sameConfig(below.Config, midHigh.Config) || !sameConfig(above.Config, topHigh.Config) {
+			t.Errorf("bracket(1.8) = QoS %v..%v, want %v..%v", below.QoS, above.QoS, midHigh.QoS, topHigh.QoS)
+		}
+		if got := average.pick(3); !sameConfig(got.Config, topHigh.Config) {
+			t.Errorf("average pick(3) = QoS %v, want %v", got.QoS, topHigh.QoS)
+		}
+		average.Close()
+	}
+}

@@ -186,20 +186,21 @@ func (c *Curve) Best(minQoS float64) (Point, bool) {
 }
 
 // AtLeastPerf returns the lowest-Perf point with Perf ≥ target using
-// binary search (runtime Policy 1, §5: O(log |PS|)). The boolean is false
+// binary search (runtime Policy 1, §5: O(log |PS|)); among points of that
+// same Perf it returns the one with the highest QoS. The boolean is false
 // when no point reaches the target.
 func (c *Curve) AtLeastPerf(target float64) (Point, bool) {
 	i := sort.Search(len(c.Points), func(i int) bool { return c.Points[i].Perf >= target })
 	if i == len(c.Points) {
 		return Point{}, false
 	}
-	return c.Points[i], true
+	return c.bestOfTie(i), true
 }
 
 // Bracket returns the neighboring points below and above a Perf target
 // (runtime Policy 2, §5). ok is false when the curve is empty. If the
 // target falls outside the curve's range both returns are the nearest
-// endpoint.
+// endpoint. Each return is the highest-QoS point of its Perf.
 func (c *Curve) Bracket(target float64) (below, above Point, ok bool) {
 	if len(c.Points) == 0 {
 		return Point{}, Point{}, false
@@ -207,13 +208,33 @@ func (c *Curve) Bracket(target float64) (below, above Point, ok bool) {
 	i := sort.Search(len(c.Points), func(i int) bool { return c.Points[i].Perf >= target })
 	switch i {
 	case 0:
-		return c.Points[0], c.Points[0], true
+		return c.bestOfTie(0), c.bestOfTie(0), true
 	case len(c.Points):
-		last := c.Points[len(c.Points)-1]
+		last := c.bestOfTie(len(c.Points) - 1)
 		return last, last, true
 	default:
-		return c.Points[i-1], c.Points[i], true
+		return c.bestOfTie(i - 1), c.bestOfTie(i), true
 	}
+}
+
+// bestOfTie returns the highest-QoS point among those with the Perf of
+// Points[i], the first in curve order on equal QoS. Points are sorted by
+// Perf, so they form one run around i. Without this the runtime would
+// pick between points of equal Perf by their order in the input.
+func (c *Curve) bestOfTie(i int) Point {
+	perf := c.Points[i].Perf
+	//lint:ignore floateq a tie is the same stored Perf value
+	for i > 0 && c.Points[i-1].Perf == perf {
+		i--
+	}
+	best := c.Points[i]
+	//lint:ignore floateq a tie is the same stored Perf value
+	for j := i + 1; j < len(c.Points) && c.Points[j].Perf == perf; j++ {
+		if c.Points[j].QoS > best.QoS {
+			best = c.Points[j]
+		}
+	}
+	return best
 }
 
 // Marshal serializes the curve to JSON for shipping with the binary.

@@ -183,10 +183,12 @@ func (q *QoSPredictor) Predict(cfg approx.Config) float64 {
 	}
 }
 
-// predict1 implements Π1(config) = QoS(T_base + α·Σ ΔT(op, knob)).
+// predict1 implements Π1(config) = QoS(T_base + α·Σ ΔT(op, knob)), the
+// sum in ascending op order.
 func (q *QoSPredictor) predict1(cfg approx.Config, alpha float64) float64 {
 	sum := q.Profiles.BaseOut.Clone()
-	for op, knob := range cfg {
+	for _, op := range cfg.Ops() {
+		knob := cfg[op]
 		if knob == approx.KnobFP32 {
 			continue
 		}
@@ -199,10 +201,12 @@ func (q *QoSPredictor) predict1(cfg approx.Config, alpha float64) float64 {
 	return q.ScoreFn(sum)
 }
 
-// predict2 implements Π2(config) = QoS_base + α·Σ ΔQ(op, knob).
+// predict2 implements Π2(config) = QoS_base + α·Σ ΔQ(op, knob), the sum
+// in ascending op order.
 func (q *QoSPredictor) predict2(cfg approx.Config, alpha float64) float64 {
 	s := q.Profiles.BaseQoS
-	for op, knob := range cfg {
+	for _, op := range cfg.Ops() {
+		knob := cfg[op]
 		if knob == approx.KnobFP32 {
 			continue
 		}

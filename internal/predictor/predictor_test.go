@@ -50,6 +50,42 @@ func TestPi1Prediction(t *testing.T) {
 	}
 }
 
+// TestPredictSumsInOpOrder pins both predictors to summing a
+// configuration's profile entries in ascending op order. The entries are
+// chosen so that float rounding makes the sum depend on its order; a sum
+// in map iteration order gives a different result from call to call.
+func TestPredictSumsInOpOrder(t *testing.T) {
+	const nOps = 16
+	p := NewProfiles(0, tensor.FromSlice([]float32{0}, 1, 1))
+	cfg := approx.Config{}
+	for op := 0; op < nOps; op++ {
+		dq := 1.0
+		if op%4 == 0 {
+			dq = 1e16
+		} else if op%4 == 2 {
+			dq = -1e16
+		}
+		p.Add(op, 1, dq, tensor.FromSlice([]float32{float32(dq) * 1e-8}, 1, 1))
+		cfg[op] = 1
+	}
+	var want2 float64
+	want1 := float32(0)
+	for op := 0; op < nOps; op++ {
+		want2 += p.DeltaQ[Key{op, 1}]
+		want1 += p.DeltaT[Key{op, 1}].Data()[0]
+	}
+	q2 := NewQoSPredictor(Pi2, p, nil)
+	q1 := NewQoSPredictor(Pi1, p, func(out *tensor.Tensor) float64 { return float64(out.Data()[0]) })
+	for i := 0; i < 20; i++ {
+		if got := q2.Predict(cfg); math.Float64bits(got) != math.Float64bits(want2) {
+			t.Fatalf("Π2 call %d = %v, ascending-op sum %v", i, got, want2)
+		}
+		if got := q1.Predict(cfg); math.Float64bits(got) != math.Float64bits(float64(want1)) {
+			t.Fatalf("Π1 call %d = %v, ascending-op sum %v", i, got, want1)
+		}
+	}
+}
+
 func TestPi1DoesNotMutateBase(t *testing.T) {
 	p := mkProfiles()
 	q := NewQoSPredictor(Pi1, p, scoreTop0)

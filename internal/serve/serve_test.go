@@ -626,3 +626,21 @@ func TestServeMicroBatchCoalescing(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 }
+
+// TestServeNewRejectsInvalidCurve: New refuses to boot on a curve that
+// fails CheckCurve — the probe curve with speedups 0 and -3, or points
+// not sorted by Perf — instead of serving from it.
+func TestServeNewRejectsInvalidCurve(t *testing.T) {
+	gr := testNet(1)
+	for name, pts := range map[string][]pareto.Point{
+		"probe":    {{QoS: 90, Perf: 0}, {QoS: 80, Perf: -3}},
+		"unsorted": {{QoS: 89, Perf: 1.5}, {QoS: 90, Perf: 1}},
+	} {
+		cfg := testConfig(gr)
+		cfg.Curve = &pareto.Curve{Program: name, BaselineQoS: 90, Points: pts}
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("%s curve: server booted", name)
+		}
+	}
+}

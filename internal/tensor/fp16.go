@@ -106,11 +106,17 @@ func QuantizeFP16(v float32) float32 {
 
 // QuantizeFP16Slice quantizes src through half precision into dst
 // (dst and src may be the same slice). It is the bulk entry point the
-// kernel paths use; len(dst) must be at least len(src).
+// kernel paths use; len(dst) must be at least len(src). On amd64 with
+// AVX2 an eight-lane kernel (fp16_amd64.s) does the blocks whose elements
+// all take a bit-manipulation path; the blocks it stops at, and the tail,
+// run through QuantizeFP16, so results are bit-identical either way.
 func QuantizeFP16Slice(dst, src []float32) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = QuantizeFP16(v)
+	for i := 0; i < len(src); {
+		i += quantizeFP16Blocks(dst[i:], src[i:])
+		for end := min(i+8, len(src)); i < end; i++ {
+			dst[i] = QuantizeFP16(src[i])
+		}
 	}
 }
 

@@ -121,3 +121,113 @@ func TestCacheIdentity(t *testing.T) {
 		t.Fatal("reshape view inherited cache identity")
 	}
 }
+
+// BenchmarkQuantizeFP16Slice times the bulk FP16 round trip against the
+// scalar QuantizeFP16 oracle, on normally distributed data and on
+// ReLU-like data whose zeros take the kernel's signed-zero case.
+func BenchmarkQuantizeFP16Slice(b *testing.B) {
+	g := NewRNG(3)
+	normal := make([]float32, 1<<14)
+	relu := make([]float32, len(normal))
+	for i := range normal {
+		normal[i] = float32(g.NormFloat64())
+		relu[i] = max(normal[i], 0)
+	}
+	dst := make([]float32, len(normal))
+	for _, in := range []struct {
+		name string
+		src  []float32
+	}{{"normal", normal}, {"relu", relu}} {
+		src := in.src
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				QuantizeFP16Slice(dst, src)
+			}
+		})
+		b.Run(in.name+"-scalar", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				for j, v := range src {
+					dst[j] = QuantizeFP16(v)
+				}
+			}
+		})
+	}
+}
+
+// fp16Specials are the inputs on or around every boundary of the FP16
+// round trip: signed zeros, float32 subnormals, the underflow edge
+// (biased exponents 102/103), the half subnormal range (103-112), the
+// normal range edges (113, 141), the overflow edge (142, with 65504 and
+// 65520 — the largest half and the first value rounding to Inf), Inf and
+// NaNs with payloads.
+func fp16Specials() []float32 {
+	var xs []float32
+	for _, sign := range []uint32{0, 1 << 31} {
+		for _, e := range []uint32{0, 1, 102, 103, 112, 113, 141, 142, 143, 255} {
+			for _, m := range []uint32{0, 1, 0xfff, 0x1000, 0x1001, 0x7fefff, 0x7ff000, 0x7fffff} {
+				xs = append(xs, math.Float32frombits(sign|e<<23|m))
+			}
+		}
+		xs = append(xs, math.Float32frombits(sign|0x477fe000), math.Float32frombits(sign|0x477ff000)) // ±65504, ±65520
+		xs = append(xs, math.Float32frombits(sign|0x7fc12345), math.Float32frombits(sign|0x7f800001))
+	}
+	return xs
+}
+
+// TestQuantizeFP16SliceBitIdentical pins the bulk path (the AVX2 kernel
+// where the CPU has it) to QuantizeFP16 bit for bit: a strided sweep of
+// the float32 bit patterns in ascending order (so most 8-blocks share an
+// exponent and stay in the vector unit), each special value at every
+// lane of an otherwise normal block, every length up to 17 at unaligned
+// offsets, and in place.
+func TestQuantizeFP16SliceBitIdentical(t *testing.T) {
+	check := func(what string, dst, src []float32) {
+		t.Helper()
+		for i, x := range src {
+			if want := QuantizeFP16(x); !bitsEqual(dst[i], want) {
+				t.Fatalf("%s: quantize(%#08x) = %#08x, QuantizeFP16 %#08x",
+					what, math.Float32bits(x), math.Float32bits(dst[i]), math.Float32bits(want))
+			}
+		}
+	}
+
+	const stride = 251
+	src := make([]float32, 1<<16)
+	dst := make([]float32, len(src))
+	for u := uint64(0); u < 1<<32; {
+		n := 0
+		for ; n < len(src) && u < 1<<32; u += stride {
+			src[n] = math.Float32frombits(uint32(u))
+			n++
+		}
+		QuantizeFP16Slice(dst[:n], src[:n])
+		check("sweep", dst[:n], src[:n])
+	}
+
+	specials := fp16Specials()
+	block := make([]float32, 16)
+	for _, s := range specials {
+		for lane := range block {
+			for i := range block {
+				block[i] = 1.5 + float32(i)
+			}
+			block[lane] = s
+			QuantizeFP16Slice(dst[:16], block)
+			check("special lane", dst[:16], block)
+		}
+	}
+
+	buf := make([]float32, 32)
+	for n := 0; n <= 17; n++ {
+		for off := 0; off < 8; off++ {
+			for i := range buf {
+				buf[i] = specials[(i*5+n)%len(specials)]
+			}
+			in := append([]float32(nil), buf[off:off+n]...)
+			QuantizeFP16Slice(buf[off:off+n], buf[off:off+n])
+			check("in place", buf[off:off+n], in)
+		}
+	}
+}

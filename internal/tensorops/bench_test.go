@@ -193,3 +193,49 @@ func BenchmarkSoftmax(b *testing.B) {
 		Softmax(x, FP32)
 	}
 }
+
+// BenchmarkTanhSlice times the bulk tanh path (the AVX2 kernel where the
+// CPU has it) against the scalar tanh32 oracle on the same data.
+func BenchmarkTanhSlice(b *testing.B) {
+	g := tensor.NewRNG(5)
+	x := tensor.New(1 << 14)
+	g.FillNormal(x, 0, 2)
+	src := x.Data()
+	dst := make([]float32, len(src))
+	b.Run("slice", func(b *testing.B) {
+		b.SetBytes(int64(4 * len(src)))
+		for i := 0; i < b.N; i++ {
+			tanhSlice(dst, src)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.SetBytes(int64(4 * len(src)))
+		for i := 0; i < b.N; i++ {
+			for j, v := range src {
+				dst[j] = tanh32(v)
+			}
+		}
+	})
+}
+
+// BenchmarkMaxPool has the shape of AlexNet2's first pooling layer at
+// width 0.25 over a 16-image batch: 2×2 windows, stride 2, exact and with
+// half of each window sampled.
+func BenchmarkMaxPool(b *testing.B) {
+	g := tensor.NewRNG(6)
+	x := tensor.New(16, 8, 32, 32)
+	g.FillNormal(x, 0, 1)
+	p := PoolParams{KH: 2, KW: 2}
+	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MaxPool(x, p, FP32)
+		}
+	})
+	b.Run("samp50", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MaxPoolSampled(x, p, 1, 2, FP32)
+		}
+	})
+}

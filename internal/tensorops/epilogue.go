@@ -92,9 +92,7 @@ func (e *rowEpi) apply(crow []float32, row int) {
 				}
 			}
 		case ActTanh:
-			for j, v := range crow {
-				crow[j] = tanh32(v)
-			}
+			tanhSlice(crow, crow)
 		}
 		if e.quant {
 			tensor.QuantizeFP16Slice(crow, crow)

@@ -6,15 +6,22 @@ import "math"
 // float32-targeted tanh evaluated in float64. math.Tanh computes a full
 // float64-precision result (two assembly exp evaluations plus branchy
 // range handling) only for the caller to throw 29 bits away in the
-// float32 conversion; profiling the tuning experiments put ~40% of
-// end-to-end time inside it. This version computes e^y-1 (y = 2x) with
-// one degree-7 polynomial after standard ln2 range reduction and forms
-// tanh(x) = (e^2x-1)/(e^2x+1). The polynomial's relative error is
-// ~2e-8 — under a fifth of a float32 ulp — so results match
-// float32(math.Tanh(x)) to within one ulp everywhere (the differential
-// test sweeps the full active range and pins this). Every execution path
-// (serial, sharded, fused, unfused, cached) shares this one function, so
-// the engine's bit-identity invariants are unaffected.
+// float32 conversion. This version computes e^y-1 (y = 2x) with one
+// degree-7 polynomial after standard ln2 range reduction and forms
+// tanh(x) = (e^2x-1)/(e^2x+1). The polynomial's relative error is ~2e-8
+// — under a fifth of a float32 ulp — so results match float32(math.Tanh(x))
+// to within one ulp everywhere (the differential test sweeps the full
+// active range and pins this).
+//
+// Even so, tanh32 was still the largest CPU cost of development-time
+// tuning on AlexNet2 (33% of a CPU profile, more than the GEMM). The bulk
+// paths therefore go through tanhSlice, which on amd64 with AVX2 runs
+// the same float64 operation sequence on four lanes (tanh_amd64.s) and
+// keeps tanh32 for the tail, for other CPUs and as the test oracle. The
+// two are bit-identical (mathfast_test.go sweeps them against each
+// other), so every execution path (serial, sharded, fused, unfused,
+// cached) still computes the same bits and the engine's bit-identity
+// invariants are unaffected.
 //
 // Exactness at the edges: tanh32(0) == 0 (k=0 reduction is exact at 0),
 // tanh32(-x) == -tanh32(x) (computed on |x|), NaN propagates, and
@@ -27,7 +34,7 @@ func tanh32(x float32) float32 {
 		y = -y
 		neg = true
 	}
-	if !(y < 18.03) { // saturated, +Inf, or NaN
+	if !(y < tanhSat) { // saturated, +Inf, or NaN
 		if math.IsNaN(y) {
 			return x
 		}
@@ -42,11 +49,6 @@ func tanh32(x float32) float32 {
 	// truncating int conversion of y·(1/ln2)+0.5 is exactly
 	// round-to-nearest (math.Round costs a libcall-sized detour on this
 	// hot path).
-	const (
-		invLn2 = 1.4426950408889634
-		ln2Hi  = 6.93147180369123816490e-01
-		ln2Lo  = 1.90821492927058770002e-10
-	)
 	k := int64(y*invLn2 + 0.5)
 	kf := float64(k)
 	r := y - kf*ln2Hi - kf*ln2Lo
@@ -69,4 +71,22 @@ func tanh32(x float32) float32 {
 		t = -t
 	}
 	return float32(t)
+}
+
+// Constants of tanh32, shared with the AVX2 kernel's constant table.
+const (
+	tanhSat = 18.03 // |2x| from which tanh32 returns ±1
+	invLn2  = 1.4426950408889634
+	ln2Hi   = 6.93147180369123816490e-01
+	ln2Lo   = 1.90821492927058770002e-10
+)
+
+// tanhSlice writes tanh32(src[i]) to dst[i] (dst and src may be the same
+// slice; len(dst) must be at least len(src)): the vector kernel where
+// there is one, tanh32 for the rest.
+func tanhSlice(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i := tanhBlocks(dst, src); i < len(src); i++ {
+		dst[i] = tanh32(src[i])
+	}
 }

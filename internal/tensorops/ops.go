@@ -40,14 +40,12 @@ func ClippedReLU(x *tensor.Tensor, clip float32, prec Precision) *tensor.Tensor 
 	return out
 }
 
-// Tanh applies tanh elementwise (tanh32 — the float32-targeted kernel
+// Tanh applies tanh elementwise (tanhSlice — the float32-targeted kernel
 // shared with the fused epilogues).
 func Tanh(x *tensor.Tensor, prec Precision) *tensor.Tensor {
 	out := x.Clone()
 	d := out.Data()
-	for i, v := range d {
-		d[i] = tanh32(v)
-	}
+	tanhSlice(d, d)
 	if prec == FP16 {
 		out.ToFP16()
 	}
@@ -169,34 +167,44 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 	}
 	out := tensor.New(n, c, ho, wo)
 	od := out.Data()
-	keep := func(i int) bool { return (i*num)%den < num }
+	// Window position k (row-major over KH×KW, padding included) is kept
+	// when (k·num) mod den < num; exact pooling keeps every position.
+	kh, kw := p.KH, p.KW
+	kept := make([]bool, kh*kw)
+	for k := range kept {
+		kept[k] = (k*num)%den < num
+	}
+	sh, sw, ph, pw := p.StrideH, p.StrideW, p.PadH, p.PadW
 	parallel.For(n*c, func(nc int) {
-		inBase := nc * h * w
-		outBase := nc * ho * wo
+		in := xd[nc*h*w : (nc+1)*h*w]
+		o := od[nc*ho*wo : (nc+1)*ho*wo]
 		for oy := 0; oy < ho; oy++ {
+			// Clamp each window to the image once, rows here and
+			// columns per output: padded positions are never visited.
+			y0 := oy*sh - ph
+			ky0, ky1 := max(0, -y0), min(kh, h-y0)
 			for ox := 0; ox < wo; ox++ {
+				x0 := ox*sw - pw
+				kx0, kx1 := max(0, -x0), min(kw, w-x0)
 				var acc float64
 				count := 0
-				best := float32(math.Inf(-1))
-				idx := 0
-				for ky := 0; ky < p.KH; ky++ {
-					iy := oy*p.StrideH - p.PadH + ky
-					for kx := 0; kx < p.KW; kx++ {
-						ix := ox*p.StrideW - p.PadW + kx
-						k := idx
-						idx++
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+				// The running max is held as bits so that keeping it is a
+				// conditional move: pooled values are data, and a branch
+				// on them mispredicts about once per window. v > best
+				// skips NaN and keeps the first of equal values (±0).
+				best := math.Float32bits(float32(math.Inf(-1)))
+				for ky := ky0; ky < ky1 && kx0 < kx1; ky++ {
+					row := in[(y0+ky)*w+x0+kx0 : (y0+ky)*w+x0+kx1]
+					mask := kept[ky*kw+kx0 : ky*kw+kx1]
+					for i, v := range row {
+						if !mask[i] {
 							continue
 						}
-						if !keep(k) {
-							continue
-						}
-						v := xd[inBase+iy*w+ix]
 						if avg {
 							acc += float64(v)
 							count++
-						} else if v > best {
-							best = v
+						} else if vb := math.Float32bits(v); v > math.Float32frombits(best) {
+							best = vb
 						}
 					}
 				}
@@ -205,13 +213,10 @@ func poolSampled(x *tensor.Tensor, p PoolParams, prec Precision, avg bool, num, 
 					if count > 0 {
 						r = float32(acc / float64(count))
 					}
-				} else {
-					if math.IsInf(float64(best), -1) {
-						best = 0 // window entirely skipped or padded
-					}
-					r = best
+				} else if r = math.Float32frombits(best); math.IsInf(float64(r), -1) {
+					r = 0 // window entirely skipped or padded
 				}
-				od[outBase+oy*wo+ox] = r
+				o[oy*wo+ox] = r
 			}
 		}
 	})

@@ -125,6 +125,97 @@ func TestPoolSampledSubset(t *testing.T) {
 	}
 }
 
+// naivePool is the pooling reference: every window position in
+// row-major order, padding included in the position count, a position
+// kept when (k·num) mod den < num, out-of-image positions skipped; max
+// keeps the first value greater than the running max (so NaN is skipped
+// and the first of ±0 wins), an empty max window gives 0.
+func naivePool(x *tensor.Tensor, p PoolParams, avg bool, num, den int) []float32 {
+	p = p.Norm()
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	ho := tensor.ConvOutDim(h, p.KH, p.StrideH, p.PadH)
+	wo := tensor.ConvOutDim(w, p.KW, p.StrideW, p.PadW)
+	xd := x.Data()
+	var out []float32
+	for nc := 0; nc < n*c; nc++ {
+		for oy := 0; oy < ho; oy++ {
+			for ox := 0; ox < wo; ox++ {
+				var acc float64
+				count := 0
+				best := float32(math.Inf(-1))
+				for k := 0; k < p.KH*p.KW; k++ {
+					iy := oy*p.StrideH - p.PadH + k/p.KW
+					ix := ox*p.StrideW - p.PadW + k%p.KW
+					if iy < 0 || iy >= h || ix < 0 || ix >= w || (k*num)%den >= num {
+						continue
+					}
+					v := xd[(nc*h+iy)*w+ix]
+					if avg {
+						acc += float64(v)
+						count++
+					} else if v > best {
+						best = v
+					}
+				}
+				r := best
+				if avg {
+					r = 0
+					if count > 0 {
+						r = float32(acc / float64(count))
+					}
+				} else if math.IsInf(float64(best), -1) {
+					r = 0
+				}
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// TestPoolMatchesNaiveReference compares exact and sampled max and
+// average pooling with naivePool bit for bit over every window size up
+// to 3×3, strides 1-2, padding 0-1 and every sampling ratio num/den with
+// den ≤ 5, on inputs seeded with NaN, ±0 and -Inf.
+func TestPoolMatchesNaiveReference(t *testing.T) {
+	g := tensor.NewRNG(13)
+	x := tensor.New(2, 2, 7, 6)
+	g.FillNormal(x, 0, 1)
+	xd := x.Data()
+	negZero := float32(math.Copysign(0, -1))
+	for i, v := range []float32{float32(math.NaN()), 0, negZero, float32(math.Inf(-1))} {
+		for j := i; j < len(xd); j += 7 + i {
+			xd[j] = v
+		}
+	}
+	for kh := 1; kh <= 3; kh++ {
+		for kw := 1; kw <= 3; kw++ {
+			for stride := 1; stride <= 2; stride++ {
+				for pad := 0; pad <= 1; pad++ {
+					p := PoolParams{KH: kh, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+					for den := 1; den <= 5; den++ {
+						for num := 1; num <= den; num++ {
+							for _, avg := range []bool{false, true} {
+								got := poolSampled(x, p, FP32, avg, num, den).Data()
+								want := naivePool(x, p, avg, num, den)
+								if len(got) != len(want) {
+									t.Fatalf("%+v %d/%d avg=%v: %d outputs, want %d", p, num, den, avg, len(got), len(want))
+								}
+								for i := range got {
+									if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+										t.Fatalf("%+v %d/%d avg=%v: out[%d] = %v, want %v",
+											p, num, den, avg, i, got[i], want[i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPoolSampledRatios(t *testing.T) {
 	g := tensor.NewRNG(11)
 	x := tensor.New(1, 2, 8, 8)
